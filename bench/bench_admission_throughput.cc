@@ -2,38 +2,20 @@
 // hammering Stage::Submit() and measuring decisions/sec plus the
 // Submit -> enqueue latency distribution, swept over the number of
 // registered query types (1 / 8 / 64 / 512) and all study policies.
-//
-// The interesting comparison is Bouncer vs Bouncer(rescan): the latter
-// disables the O(1) incremental Eq. 2 aggregate and rescans every
-// per-type histogram per decision — the pre-optimization behavior —
-// which degrades linearly in the number of types while the default stays
-// flat. Results are printed as a table and written to
+// Bouncer's O(1) incremental Eq. 2 aggregate keeps its cost flat in the
+// number of types. Results are printed as a table and written to
 // BENCH_admission_throughput.json.
 //
-// A second sweep prices the shared-nothing execution core: a submitter
-// x {sharded, single-queue} grid over the Bouncer policy at 512 types,
-// where "single-queue" forces the pre-sharding one-global-FIFO core
-// (Stage::Options::force_single_queue) and "sharded" runs per-worker
-// run queues with striped admission counters. Invoked as
-// `bench_admission_throughput --guard` it instead runs just that pair
-// best-of-3 and fails (exit 1) when sharded falls below
-// BOUNCER_BENCH_GUARD_MIN_RATIO x single-queue (default 0.9 — a
-// regression guard, not a speedup assertion, so core-starved CI hosts
-// don't flap).
-//
-// A third sweep prices the high-cardinality tenant dimension: a tenant
+// Two more sections price the tracing flight recorder (off vs on at
+// 1-in-64 sampling) and the high-cardinality tenant dimension: a tenant
 // ladder (1 / 100 / 1k / 10k / 100k tenants, uniform draw per submit)
-// over Bouncer wrapped in TenantFairPolicy, A/B between the flat-indexed
-// PolicyStateTable slab and the shared-lock unordered_map baseline
-// (Options::use_map_baseline). The acceptance bar: the flat slab's
-// per-decision cost at 10k tenants stays within ~1.15x of the
-// single-tenant cell and beats the map baseline. --guard also runs a
-// 10k-tenant flat-vs-map rung under the same threshold env var.
+// over Bouncer wrapped in TenantFairPolicy, whose flat-indexed
+// PolicyStateTable should keep the per-decision cost at 10k tenants
+// within ~1.15x of the single-tenant cell.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,12 +54,6 @@ std::vector<Variant> MakeVariants() {
     v.config = MakeStudyPolicy(kind);
     variants.push_back(std::move(v));
   }
-  // The pre-optimization Bouncer: every estimate rescans all types.
-  Variant rescan;
-  rescan.name = "Bouncer(rescan)";
-  rescan.config = MakeStudyPolicy(PolicyKind::kBouncer);
-  rescan.config.bouncer.incremental_estimate = false;
-  variants.push_back(std::move(rescan));
   return variants;
 }
 
@@ -102,11 +78,7 @@ struct CellResult {
   std::string policy;
   size_t num_types = 0;
   size_t num_tenants = 0;  ///< 0 = tenant dimension off.
-  size_t submitters = kSubmitters;
-  size_t workers = 0;
-  int single_queue = 0;  ///< force_single_queue (pre-sharding core).
-  int tenant_map = 0;    ///< unordered_map A/B baseline for tenant state.
-  int tracing = 0;       ///< Flight recorder enabled (1-in-64 sampling).
+  int tracing = 0;         ///< Flight recorder enabled (1-in-64 sampling).
   double seconds = 0;
   uint64_t decisions = 0;
   double decisions_per_sec = 0;
@@ -124,10 +96,6 @@ struct CellParams {
   /// > 0 wraps the policy in TenantFairPolicy over this many
   /// pre-registered tenants, drawn uniformly per submit.
   size_t num_tenants = 0;
-  size_t submitters = kSubmitters;
-  size_t workers = 0;  ///< 0 = BenchWorkers().
-  bool force_single_queue = false;
-  bool tenant_map_baseline = false;
   bool tracing = false;
 };
 
@@ -144,9 +112,8 @@ CellResult RunCell(const Variant& variant, Nanos duration,
 
   server::Stage::Options options;
   options.name = "bench";
-  options.num_workers = params.workers == 0 ? BenchWorkers() : params.workers;
+  options.num_workers = BenchWorkers();
   options.queue_capacity = 1 << 15;
-  options.force_single_queue = params.force_single_queue;
   // Cell-local recorder so the tracing column prices exactly the trace
   // sites (default 1-in-64 sampling), not a shared global's ring state.
   stats::FlightRecorder recorder;
@@ -164,10 +131,7 @@ CellResult RunCell(const Variant& variant, Nanos duration,
     options.tenants = &tenant_registry;
   }
   PolicyConfig config = variant.config;
-  if (params.num_tenants > 0) {
-    config.tenant_fair = true;
-    config.tenant_fair_options.use_map_baseline = params.tenant_map_baseline;
-  }
+  if (params.num_tenants > 0) config.tenant_fair = true;
   server::Stage stage(
       options, &registry, SystemClock::Global(),
       [&config](const PolicyContext& context) {
@@ -204,7 +168,7 @@ CellResult RunCell(const Variant& variant, Nanos duration,
   const auto bench_start = std::chrono::steady_clock::now();
 
   std::vector<std::thread> submitters;
-  for (size_t s = 0; s < params.submitters; ++s) {
+  for (size_t s = 0; s < kSubmitters; ++s) {
     submitters.emplace_back([&, s] {
       Rng thread_rng(1000 + s);
       uint64_t local = 0;
@@ -241,10 +205,6 @@ CellResult RunCell(const Variant& variant, Nanos duration,
   r.policy = variant.name;
   r.num_types = num_types;
   r.num_tenants = params.num_tenants;
-  r.submitters = params.submitters;
-  r.workers = options.num_workers;
-  r.single_queue = params.force_single_queue ? 1 : 0;
-  r.tenant_map = params.tenant_map_baseline ? 1 : 0;
   r.tracing = params.tracing ? 1 : 0;
   r.seconds = std::chrono::duration<double>(bench_end - bench_start).count();
   r.decisions = decisions.load();
@@ -260,25 +220,28 @@ CellResult RunCell(const Variant& variant, Nanos duration,
   return r;
 }
 
-void WriteCells(std::FILE* f, const std::vector<CellResult>& results) {
+void WriteJson(const std::vector<CellResult>& results) {
+  std::FILE* f = std::fopen("BENCH_admission_throughput.json", "w");
+  if (f == nullptr) return;
+  std::fprintf(f, "{\n  \"bench\": \"admission_throughput\",\n");
+  WriteHostJsonFields(f);
+  std::fprintf(f, "  \"submitters\": %zu,\n  \"workers\": %zu,\n",
+               kSubmitters, BenchWorkers());
   std::fprintf(f, "  \"cells\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const CellResult& r = results[i];
     std::fprintf(
         f,
         "    {\"policy\": \"%s\", \"num_types\": %zu, "
-        "\"num_tenants\": %zu, \"submitters\": %zu, "
-        "\"workers\": %zu, \"single_queue\": %d, \"tenant_map\": %d, "
-        "\"tracing\": %d, "
+        "\"num_tenants\": %zu, \"tracing\": %d, "
         "\"seconds\": %.3f, \"decisions\": %llu, "
         "\"decisions_per_sec\": %.0f, \"submit_mean_ns\": %lld, "
         "\"submit_p50_ns\": %lld, \"submit_p90_ns\": %lld, "
         "\"submit_p99_ns\": %lld, \"accepted\": %llu, "
         "\"rejected\": %llu, \"shedded\": %llu}%s\n",
-        r.policy.c_str(), r.num_types, r.num_tenants, r.submitters,
-        r.workers, r.single_queue, r.tenant_map, r.tracing, r.seconds,
-        static_cast<unsigned long long>(r.decisions),
-        r.decisions_per_sec, static_cast<long long>(r.submit_mean),
+        r.policy.c_str(), r.num_types, r.num_tenants, r.tracing, r.seconds,
+        static_cast<unsigned long long>(r.decisions), r.decisions_per_sec,
+        static_cast<long long>(r.submit_mean),
         static_cast<long long>(r.submit_p50),
         static_cast<long long>(r.submit_p90),
         static_cast<long long>(r.submit_p99),
@@ -287,162 +250,17 @@ void WriteCells(std::FILE* f, const std::vector<CellResult>& results) {
         static_cast<unsigned long long>(r.shedded),
         i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n");
-}
-
-void WriteJson(const std::vector<CellResult>& results) {
-  std::FILE* f = std::fopen("BENCH_admission_throughput.json", "w");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\n  \"bench\": \"admission_throughput\",\n");
-  WriteHostJsonFields(f);
-  std::fprintf(f, "  \"submitters\": %zu,\n  \"workers\": %zu,\n",
-               kSubmitters, BenchWorkers());
-  WriteCells(f, results);
-  std::fprintf(f, "}\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
-/// The sharded-vs-single-queue pair the scaling grid and the guard mode
-/// share: Bouncer at `num_types` types, `submitters` closed-loop
-/// threads.
-Variant GridVariant() {
-  Variant v;
-  v.name = "Bouncer";
-  v.config = MakeStudyPolicy(PolicyKind::kBouncer);
-  return v;
-}
-
-/// Regression guard for the shared-nothing execution core, run by CI
-/// pinned to a fixed CPU set. Best-of-3 per column absorbs scheduler
-/// noise; the threshold defaults below 1.0 because a core-starved host
-/// (CI runners routinely grant 2 CPUs) cannot demonstrate scaling, only
-/// catastrophic regression.
-int RunGuard(Nanos duration) {
-  const double configured_min_ratio = [] {
-    const char* env = std::getenv("BOUNCER_BENCH_GUARD_MIN_RATIO");
-    if (env == nullptr) return 0.9;
-    const double v = std::atof(env);
-    return v > 0 ? v : 0.9;
-  }();
-  // A core-starved host (fewer CPUs than the guard's worker + submitter
-  // threads want) cannot demonstrate scaling: time-slicing makes the
-  // sharded core's steal scans pure overhead. Keep the run as a smoke
-  // test there, but only fail on a catastrophic regression.
-  const size_t cpus = AffinityCpuCount();
-  constexpr size_t kFullGuardCpus = 4;
-  const bool core_starved = cpus < kFullGuardCpus;
-  const double min_ratio =
-      core_starved ? configured_min_ratio * 0.5 : configured_min_ratio;
-  if (core_starved) {
-    std::printf(
-        "note: affinity grants %zu CPUs (< %zu); relaxing threshold "
-        "%.3fx -> %.3fx (catastrophic-regression guard only)\n",
-        cpus, kFullGuardCpus, configured_min_ratio, min_ratio);
-  }
-  const Variant variant = GridVariant();
-
-  auto best_of_3 = [&](const CellParams& params) {
-    CellResult best;
-    for (int run = 0; run < 3; ++run) {
-      CellResult r = RunCell(variant, duration, params);
-      if (r.decisions_per_sec > best.decisions_per_sec) best = std::move(r);
-    }
-    return best;
-  };
-
-  CellParams core_params;
-  core_params.num_types = 512;
-  core_params.submitters = kSubmitters;
-  core_params.force_single_queue = false;
-  const CellResult sharded = best_of_3(core_params);
-  core_params.force_single_queue = true;
-  const CellResult single = best_of_3(core_params);
-  const double ratio = single.decisions_per_sec > 0
-                           ? sharded.decisions_per_sec /
-                                 single.decisions_per_sec
-                           : 0;
-
-  // The 10k-tenant rung: flat-indexed tenant state vs the unordered_map
-  // baseline under the same threshold. Flat should win outright; the
-  // sub-1.0 threshold only absorbs scheduler noise on starved hosts.
-  CellParams tenant_params;
-  tenant_params.num_types = 8;
-  tenant_params.num_tenants = 10'000;
-  tenant_params.submitters = kSubmitters;
-  tenant_params.tenant_map_baseline = false;
-  const CellResult tenant_flat = best_of_3(tenant_params);
-  tenant_params.tenant_map_baseline = true;
-  const CellResult tenant_map = best_of_3(tenant_params);
-  const double tenant_ratio = tenant_map.decisions_per_sec > 0
-                                  ? tenant_flat.decisions_per_sec /
-                                        tenant_map.decisions_per_sec
-                                  : 0;
-
-  std::printf("%-24s %9s %9s %10s %12s\n", "cell", "types", "tenants",
-              "submitters", "decisions/s");
-  PrintRule(70);
-  std::printf("%-24s %9zu %9zu %10zu %12.0f\n", "sharded", sharded.num_types,
-              sharded.num_tenants, sharded.submitters,
-              sharded.decisions_per_sec);
-  std::printf("%-24s %9zu %9zu %10zu %12.0f\n", "single-queue",
-              single.num_types, single.num_tenants, single.submitters,
-              single.decisions_per_sec);
-  std::printf("%-24s %9zu %9zu %10zu %12.0f\n", "tenant-flat",
-              tenant_flat.num_types, tenant_flat.num_tenants,
-              tenant_flat.submitters, tenant_flat.decisions_per_sec);
-  std::printf("%-24s %9zu %9zu %10zu %12.0f\n", "tenant-map",
-              tenant_map.num_types, tenant_map.num_tenants,
-              tenant_map.submitters, tenant_map.decisions_per_sec);
-  std::printf("sharded/single-queue = %.3fx (min %.3fx)\n", ratio, min_ratio);
-  std::printf("tenant flat/map at 10k = %.3fx (min %.3fx)\n", tenant_ratio,
-              min_ratio);
-
-  std::FILE* f = std::fopen("BENCH_admission_guard.json", "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n  \"bench\": \"admission_guard\",\n");
-    WriteHostJsonFields(f);
-    std::fprintf(f, "  \"min_ratio\": %.3f, \"ratio\": %.3f,\n", min_ratio,
-                 ratio);
-    std::fprintf(f, "  \"tenant_ratio\": %.3f,\n", tenant_ratio);
-    std::fprintf(f, "  \"core_starved\": %s,\n",
-                 core_starved ? "true" : "false");
-    WriteCells(f, {sharded, single, tenant_flat, tenant_map});
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_admission_guard.json\n");
-  }
-
-  if (ratio < min_ratio) {
-    std::fprintf(stderr,
-                 "FAIL: sharded execution core at %.3fx of single-queue "
-                 "(threshold %.3fx)\n",
-                 ratio, min_ratio);
-    return 1;
-  }
-  if (tenant_ratio < min_ratio) {
-    std::fprintf(stderr,
-                 "FAIL: flat tenant state at %.3fx of the map baseline "
-                 "(threshold %.3fx)\n",
-                 tenant_ratio, min_ratio);
-    return 1;
-  }
-  std::printf("guard OK\n");
-  return 0;
-}
-
-int Main(int argc, char** argv) {
-  const bool guard_mode =
-      argc > 1 && std::strcmp(argv[1], "--guard") == 0;
+int Main() {
   PrintPreamble("bench_admission_throughput",
-                guard_mode
-                    ? "sharded vs single-queue execution-core regression "
-                      "guard (best of 3)"
-                    : "closed-loop Stage::Submit() throughput and latency "
-                      "by policy and number of query types");
+                "closed-loop Stage::Submit() throughput and latency by "
+                "policy and number of query types");
   const Nanos duration = BenchScale() == 0   ? 100 * kMillisecond
                          : BenchScale() == 1 ? 300 * kMillisecond
                                              : kSecond;
-  if (guard_mode) return RunGuard(duration);
 
   const std::vector<size_t> type_counts = {1, 8, 64, 512};
   const std::vector<Variant> variants = MakeVariants();
@@ -473,7 +291,8 @@ int Main(int argc, char** argv) {
   for (const Variant& v : variants) {
     if (v.name == "Bouncer") bouncer_variant = &v;
   }
-  if (bouncer_variant != nullptr) {
+  if (bouncer_variant == nullptr) return 1;
+  {
     CellParams params;
     params.num_types = 8;
     params.tracing = false;
@@ -494,120 +313,36 @@ int Main(int argc, char** argv) {
     PrintRule(94);
   }
 
-  // Execution-core scaling grid: submitter counts x {sharded,
-  // single-queue} over Bouncer at 512 types. On a multi-core host the
-  // sharded column should pull ahead as submitters grow (contended
-  // single FIFO + shared counter lines vs per-submitter rings + striped
-  // counters); at scale 0 the grid is trimmed to its endpoints.
-  const Variant grid_variant = GridVariant();
-  const std::vector<size_t> submitter_counts =
-      BenchScale() == 0 ? std::vector<size_t>{1, kSubmitters}
-                        : std::vector<size_t>{1, 2, 4, kSubmitters};
-  std::printf("%-24s %9s %10s %12s %12s\n", "core", "types", "submitters",
-              "decisions/s", "p99_ns");
-  PrintRule(94);
-  for (const size_t submitters : submitter_counts) {
-    for (const bool single_queue : {false, true}) {
-      CellParams params;
-      params.num_types = 512;
-      params.submitters = submitters;
-      params.force_single_queue = single_queue;
-      const CellResult r = RunCell(grid_variant, duration, params);
-      std::printf("%-24s %9zu %10zu %12.0f %12lld\n",
-                  single_queue ? "single-queue" : "sharded", r.num_types,
-                  r.submitters, r.decisions_per_sec,
-                  static_cast<long long>(r.submit_p99));
-      results.push_back(r);
-    }
-  }
-  PrintRule(94);
-
   // Tenant ladder: Bouncer + TenantFairPolicy over a growing tenant
-  // population, flat slab vs unordered_map A/B. The flat column should
-  // stay near-flat up the ladder (O(1) addressing, one cache line per
-  // tenant); the map column pays the shared lock and pointer chase.
+  // population. The per-decision cost should stay near-flat up the
+  // ladder (O(1) addressing, one cache line per tenant).
   const std::vector<size_t> tenant_counts =
       BenchScale() == 0 ? std::vector<size_t>{1, 10'000}
                         : std::vector<size_t>{1, 100, 1'000, 10'000, 100'000};
   std::printf("%-24s %9s %12s %12s %10s\n", "tenant state", "tenants",
               "decisions/s", "mean_ns", "p99_ns");
   PrintRule(94);
+  double mean_1 = 0, mean_10k = 0;
   for (const size_t num_tenants : tenant_counts) {
-    for (const bool map_baseline : {false, true}) {
-      CellParams params;
-      params.num_types = 8;
-      params.num_tenants = num_tenants;
-      params.tenant_map_baseline = map_baseline;
-      const CellResult r = RunCell(grid_variant, duration, params);
-      std::printf("%-24s %9zu %12.0f %12lld %10lld\n",
-                  map_baseline ? "map" : "flat", r.num_tenants,
-                  r.decisions_per_sec, static_cast<long long>(r.submit_mean),
-                  static_cast<long long>(r.submit_p99));
-      results.push_back(r);
-    }
+    CellParams params;
+    params.num_types = 8;
+    params.num_tenants = num_tenants;
+    const CellResult r = RunCell(*bouncer_variant, duration, params);
+    std::printf("%-24s %9zu %12.0f %12lld %10lld\n", "flat", r.num_tenants,
+                r.decisions_per_sec, static_cast<long long>(r.submit_mean),
+                static_cast<long long>(r.submit_p99));
+    if (num_tenants == 1) mean_1 = static_cast<double>(r.submit_mean);
+    if (num_tenants == 10'000) mean_10k = static_cast<double>(r.submit_mean);
+    results.push_back(r);
   }
   PrintRule(94);
 
   WriteJson(results);
   std::printf("wrote BENCH_admission_throughput.json\n");
-
-  // Headline ratio: incremental vs rescan Bouncer at the largest sweep
-  // points (the acceptance bar for this optimization is >= 3x at 64+).
-  for (const size_t n : type_counts) {
-    double fast = 0, slow = 0;
-    for (const CellResult& r : results) {
-      if (r.num_types != n || r.submitters != kSubmitters ||
-          r.single_queue != 0) {
-        continue;
-      }
-      if (r.policy == "Bouncer") fast = r.decisions_per_sec;
-      if (r.policy == "Bouncer(rescan)") slow = r.decisions_per_sec;
-    }
-    if (fast > 0 && slow > 0) {
-      std::printf("types=%zu: incremental/rescan = %.2fx\n", n, fast / slow);
-    }
-  }
-  // Execution-core headline: sharded vs single-queue at max submitters.
-  {
-    double sharded = 0, single = 0;
-    for (const CellResult& r : results) {
-      if (r.num_types != 512 || r.submitters != kSubmitters) continue;
-      if (r.policy != "Bouncer" || r.tracing != 0) continue;
-      if (r.single_queue == 0) sharded = r.decisions_per_sec;
-      if (r.single_queue == 1) single = r.decisions_per_sec;
-    }
-    if (sharded > 0 && single > 0) {
-      std::printf("submitters=%zu types=512: sharded/single-queue = %.2fx\n",
-                  kSubmitters, sharded / single);
-    }
-  }
-  // Tenant-ladder headlines: flat vs map throughput per rung, and the
-  // flat slab's per-decision cost at 10k tenants relative to the
-  // single-tenant cell (the <= ~1.15x cardinality-proofness bar).
-  {
-    double flat_mean_1 = 0, flat_mean_10k = 0;
-    for (const size_t n : tenant_counts) {
-      double flat = 0, map = 0;
-      for (const CellResult& r : results) {
-        if (r.num_tenants != n || r.num_types != 8 || r.tracing != 0) {
-          continue;
-        }
-        if (r.tenant_map == 0) {
-          flat = r.decisions_per_sec;
-          if (n == 1) flat_mean_1 = static_cast<double>(r.submit_mean);
-          if (n == 10'000) flat_mean_10k = static_cast<double>(r.submit_mean);
-        } else {
-          map = r.decisions_per_sec;
-        }
-      }
-      if (flat > 0 && map > 0) {
-        std::printf("tenants=%zu: flat/map = %.2fx\n", n, flat / map);
-      }
-    }
-    if (flat_mean_1 > 0 && flat_mean_10k > 0) {
-      std::printf("flat per-decision mean: 10k tenants / 1 tenant = %.3fx\n",
-                  flat_mean_10k / flat_mean_1);
-    }
+  // The cardinality-proofness bar: <= ~1.15x.
+  if (mean_1 > 0 && mean_10k > 0) {
+    std::printf("per-decision mean: 10k tenants / 1 tenant = %.3fx\n",
+                mean_10k / mean_1);
   }
   return 0;
 }
@@ -615,4 +350,4 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace bouncer::bench
 
-int main(int argc, char** argv) { return bouncer::bench::Main(argc, argv); }
+int main() { return bouncer::bench::Main(); }

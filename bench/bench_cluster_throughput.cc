@@ -1,17 +1,15 @@
 // Real-cluster scatter-gather throughput: a closed-loop driver keeps a
 // fixed window of queries in flight against the in-process broker/shard
 // cluster and measures sustained completions/sec plus the end-to-end
-// latency distribution, comparing the pooled/async scatter-gather hot
-// path against the pre-optimization legacy path (Options::legacy_scatter)
-// at the real-study topology, and sweeping broker/shard worker counts at
-// larger scales. Both tiers run AlwaysAccept so the bench measures the
+// latency distribution at the real-study topology, sweeping broker/shard
+// worker counts at larger scales. This is the cluster's closed-loop
+// capacity figure. Both tiers run AlwaysAccept so the bench measures the
 // data path, not admission behavior. Results are printed as a table and
 // written to BENCH_cluster_throughput.json.
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,7 +35,6 @@ using graph::GraphStore;
 constexpr size_t kWindow = 32;
 
 struct CellResult {
-  std::string variant;
   size_t broker_workers = 0;
   size_t shard_workers = 0;
   double seconds = 0;
@@ -86,24 +83,8 @@ void BenchState::SubmitNext() {
       });
 }
 
-/// One benched cluster configuration. "legacy" restores the blocking
-/// scatter-gather, "fast-1q" keeps the pooled/async path but forces the
-/// pre-sharding single-run-queue execution core, "fast" is the default
-/// (per-worker run queues with stealing + striped counters).
-struct Variant {
-  const char* name;
-  bool legacy_scatter;
-  bool force_single_queue;
-};
-
-constexpr Variant kVariants[] = {
-    {"legacy", true, false},
-    {"fast-1q", false, true},
-    {"fast", false, false},
-};
-
-CellResult RunCell(const GraphStore& graph_store, const Variant& variant,
-                   size_t broker_workers, size_t shard_workers,
+CellResult RunCell(const GraphStore& graph_store, size_t broker_workers,
+                   size_t shard_workers,
                    const std::vector<GraphQuery>& queries, Nanos warmup,
                    Nanos measure) {
   const Slo slo{kSecond, 2 * kSecond, 0};
@@ -121,8 +102,6 @@ CellResult RunCell(const GraphStore& graph_store, const Variant& variant,
   options.shard_queue_capacity = 1 << 15;
   options.broker_policy.kind = PolicyKind::kAlwaysAccept;
   options.shard_policy.kind = PolicyKind::kAlwaysAccept;
-  options.legacy_scatter = variant.legacy_scatter;
-  options.force_single_queue = variant.force_single_queue;
   Cluster cluster(&graph_store, &registry, SystemClock::Global(), options);
   if (!cluster.Start().ok()) {
     std::fprintf(stderr, "cluster start failed\n");
@@ -152,7 +131,6 @@ CellResult RunCell(const GraphStore& graph_store, const Variant& variant,
   cluster.Stop();
 
   CellResult r;
-  r.variant = variant.name;
   r.broker_workers = broker_workers;
   r.shard_workers = shard_workers;
   r.seconds =
@@ -175,11 +153,11 @@ void WriteJson(const std::vector<CellResult>& results) {
     const CellResult& r = results[i];
     std::fprintf(
         f,
-        "    {\"variant\": \"%s\", \"broker_workers\": %zu, "
-        "\"shard_workers\": %zu, \"seconds\": %.3f, \"completed\": %llu, "
-        "\"qps\": %.0f, \"rt_p50_us\": %.1f, \"rt_p99_us\": %.1f, "
+        "    {\"broker_workers\": %zu, \"shard_workers\": %zu, "
+        "\"seconds\": %.3f, \"completed\": %llu, \"qps\": %.0f, "
+        "\"rt_p50_us\": %.1f, \"rt_p99_us\": %.1f, "
         "\"shard_failures\": %llu}%s\n",
-        r.variant.c_str(), r.broker_workers, r.shard_workers, r.seconds,
+        r.broker_workers, r.shard_workers, r.seconds,
         static_cast<unsigned long long>(r.completed), r.qps,
         static_cast<double>(r.rt_p50) / 1000.0,
         static_cast<double>(r.rt_p99) / 1000.0,
@@ -192,8 +170,7 @@ void WriteJson(const std::vector<CellResult>& results) {
 
 int Main() {
   PrintPreamble("bench_cluster_throughput",
-                "closed-loop broker/shard cluster throughput, pooled/async "
-                "vs legacy scatter-gather");
+                "closed-loop broker/shard cluster throughput");
   const RealStudyParams params = DefaultRealParams();
   const GraphStore& graph_store = SharedGraph(params);
 
@@ -219,7 +196,7 @@ int Main() {
   }
 
   // (broker_workers, shard_workers) sweep; the first point is the
-  // real-study topology and the headline fast-vs-legacy comparison.
+  // real-study topology.
   std::vector<std::pair<size_t, size_t>> grid = {{4, 1}};
   if (BenchScale() >= 1) {
     grid.push_back({2, 1});
@@ -228,42 +205,23 @@ int Main() {
     grid.push_back({8, 2});
   }
 
-  std::printf("%-8s %8s %8s %12s %12s %12s %10s\n", "variant", "brk_wrk",
-              "shd_wrk", "qps", "p50_us", "p99_us", "failures");
-  PrintRule(78);
+  std::printf("%8s %8s %12s %12s %12s %10s\n", "brk_wrk", "shd_wrk", "qps",
+              "p50_us", "p99_us", "failures");
+  PrintRule(69);
   std::vector<CellResult> results;
   for (const auto& [brokers, shards] : grid) {
-    for (const Variant& variant : kVariants) {
-      const CellResult r = RunCell(graph_store, variant, brokers, shards,
-                                   queries, warmup, measure);
-      std::printf("%-8s %8zu %8zu %12.0f %12.1f %12.1f %10llu\n",
-                  r.variant.c_str(), r.broker_workers, r.shard_workers, r.qps,
-                  static_cast<double>(r.rt_p50) / 1000.0,
-                  static_cast<double>(r.rt_p99) / 1000.0,
-                  static_cast<unsigned long long>(r.shard_failures));
-      results.push_back(r);
-    }
-    PrintRule(78);
+    const CellResult r =
+        RunCell(graph_store, brokers, shards, queries, warmup, measure);
+    std::printf("%8zu %8zu %12.0f %12.1f %12.1f %10llu\n", r.broker_workers,
+                r.shard_workers, r.qps, static_cast<double>(r.rt_p50) / 1000.0,
+                static_cast<double>(r.rt_p99) / 1000.0,
+                static_cast<unsigned long long>(r.shard_failures));
+    results.push_back(r);
   }
+  PrintRule(69);
   WriteJson(results);
   std::printf("wrote BENCH_cluster_throughput.json\n");
 
-  // Headline ratios at the real-study topology (fast/legacy acceptance
-  // bar: >= 2x; fast/fast-1q isolates the execution-core sharding).
-  double fast = 0, slow = 0, single_queue = 0;
-  for (const CellResult& r : results) {
-    if (r.broker_workers != 4 || r.shard_workers != 1) continue;
-    if (r.variant == "fast") fast = r.qps;
-    if (r.variant == "fast-1q") single_queue = r.qps;
-    if (r.variant == "legacy") slow = r.qps;
-  }
-  if (slow > 0) {
-    std::printf("default topology: fast/legacy = %.2fx\n", fast / slow);
-  }
-  if (single_queue > 0) {
-    std::printf("default topology: sharded/single-queue = %.2fx\n",
-                fast / single_queue);
-  }
   return 0;
 }
 

@@ -4,19 +4,16 @@
 //
 //   inproc     closed-loop Cluster::Submit calls in-process (no sockets):
 //              the ceiling the network path is measured against;
-//   net_item   loopback TCP, one admission episode per parsed query
-//              (NetServer::Options::batch_submit = false), single loop;
 //   net_batch  loopback TCP, everything parsed from one epoll wakeup
 //              drained through Cluster::SubmitBatch in a single pass —
 //              run at every loop count in the sweep, so the same cell
 //              read across rows is the multi-reactor scaling curve.
 //
 // The query mix is deliberately cheap (degree-heavy, ample workers) so
-// the event loops are the bottleneck: the net_batch/net_item gap prices
-// per-query admission (what SubmitBatch amortizes), and the 1->N loops
-// gap prices the single-reactor serialization the sharded front-end
-// removes. Loop scaling needs real cores — the JSON records
-// hardware_concurrency so a 1-core CI run is read accordingly.
+// the event loops are the bottleneck: the 1->N loops gap prices the
+// single-reactor serialization the sharded front-end removes. Loop
+// scaling needs real cores — the JSON records hardware_concurrency so a
+// 1-core CI run is read accordingly.
 //
 // Every net cell runs once per event-loop backend (epoll always,
 // io_uring when the kernel passes the functional probe), with the
@@ -321,7 +318,7 @@ CellResult RunInproc(const GraphStore& graph,
 }
 
 CellResult RunNet(const GraphStore& graph,
-                  const std::vector<GraphQuery>& queries, bool batch_submit,
+                  const std::vector<GraphQuery>& queries,
                   net::NetBackend backend, size_t loops, size_t connections,
                   size_t in_flight, Nanos warmup, Nanos measure,
                   bool tracing = false) {
@@ -343,7 +340,6 @@ CellResult RunNet(const GraphStore& graph,
     std::exit(1);
   }
   net::NetServer::Options server_options;
-  server_options.batch_submit = batch_submit;
   server_options.backend = backend;
   server_options.num_loops = loops;
   server_options.max_connections = connections + 8;
@@ -412,7 +408,7 @@ CellResult RunNet(const GraphStore& graph,
   cluster.Stop();
 
   CellResult r;
-  r.variant = batch_submit ? "net_batch" : "net_item";
+  r.variant = "net_batch";
   r.backend = net::NetBackendName(after.backend);
   r.loops = server.num_loops();
   r.connections = connections;
@@ -423,7 +419,7 @@ CellResult RunNet(const GraphStore& graph,
   r.qps = static_cast<double>(r.completed) / r.seconds;
   r.rt_p50 = latency.p50;
   r.rt_p99 = latency.p99;
-  if (batch_submit && batches > 0) {
+  if (batches > 0) {
     r.avg_batch = static_cast<double>(requests) / static_cast<double>(batches);
   }
   if (r.completed > 0) {
@@ -605,8 +601,8 @@ SurgeResult RunSurge(const GraphStore& graph,
 
 void WriteJson(const std::vector<CellResult>& results,
                const std::vector<LadderResult>& ladder,
-               const SurgeResult& surge, double headline,
-               double loop_scaling, const std::string& uring_skip) {
+               const SurgeResult& surge, double loop_scaling,
+               const std::string& uring_skip) {
   std::FILE* f = std::fopen("BENCH_net_throughput.json", "w");
   if (f == nullptr) return;
   std::fprintf(f, "{\n  \"bench\": \"net_throughput\",\n");
@@ -681,7 +677,6 @@ void WriteJson(const std::vector<CellResult>& results,
       static_cast<unsigned long long>(surge.rejections),
       static_cast<unsigned long long>(surge.dropped), surge.rss_start_kb,
       surge.rss_end_kb);
-  std::fprintf(f, "  \"batch_vs_item_at_64conns\": %.2f,\n", headline);
   std::fprintf(f, "  \"loop_scaling_at_256conns\": %.2f\n}\n", loop_scaling);
   std::fclose(f);
 }
@@ -689,8 +684,7 @@ void WriteJson(const std::vector<CellResult>& results,
 int Main() {
   PrintPreamble("bench_net_throughput",
                 "sharded front-end over loopback: epoll vs io_uring "
-                "backends, batched vs per-item admission, loop scaling, "
-                "vs the in-process ceiling");
+                "backends, loop scaling, vs the in-process ceiling");
 
   Nanos warmup = 300 * kMillisecond;
   Nanos measure = 600 * kMillisecond;
@@ -739,7 +733,6 @@ int Main() {
   PrintRule(103);
   std::vector<CellResult> results;
   double capacity_qps = 0;
-  double item_64 = 0, batch_64 = 0;
   for (const auto& [connections, in_flight] : grid) {
     const size_t row_start = results.size();
     CellResult inproc = RunInproc(graph, queries, connections * in_flight,
@@ -748,27 +741,10 @@ int Main() {
     inproc.in_flight = in_flight;
     results.push_back(inproc);
     for (const net::NetBackend backend : backends) {
-      // net_item only at the sweep's first loop count (the batching A/B
-      // baseline); net_batch at every loop count (the scaling curve).
-      const CellResult item =
-          RunNet(graph, queries, /*batch_submit=*/false, backend,
-                 loop_sweep.front(), connections, in_flight, warmup, measure);
-      results.push_back(item);
-      // The batch-vs-item headline stays an epoll-vs-epoll ratio so the
-      // number is comparable across kernels with and without io_uring.
-      if (connections >= 64 && backend == net::NetBackend::kEpoll &&
-          item.qps > item_64) {
-        item_64 = item.qps;
-      }
       for (const size_t loops : loop_sweep) {
-        const CellResult r =
-            RunNet(graph, queries, /*batch_submit=*/true, backend, loops,
-                   connections, in_flight, warmup, measure);
+        const CellResult r = RunNet(graph, queries, backend, loops,
+                                    connections, in_flight, warmup, measure);
         results.push_back(r);
-        if (connections >= 64 && backend == net::NetBackend::kEpoll &&
-            r.qps > batch_64) {
-          batch_64 = r.qps;
-        }
         if (r.qps > capacity_qps) capacity_qps = r.qps;
       }
     }
@@ -831,13 +807,11 @@ int Main() {
   const auto [trace_conns, trace_flight] = grid.back();
   const net::NetBackend trace_backend = backends.back();
   const CellResult trace_off =
-      RunNet(graph, queries, /*batch_submit=*/true, trace_backend,
-             loop_sweep.front(), trace_conns, trace_flight, warmup, measure,
-             /*tracing=*/false);
+      RunNet(graph, queries, trace_backend, loop_sweep.front(), trace_conns,
+             trace_flight, warmup, measure, /*tracing=*/false);
   const CellResult trace_on =
-      RunNet(graph, queries, /*batch_submit=*/true, trace_backend,
-             loop_sweep.front(), trace_conns, trace_flight, warmup, measure,
-             /*tracing=*/true);
+      RunNet(graph, queries, trace_backend, loop_sweep.front(), trace_conns,
+             trace_flight, warmup, measure, /*tracing=*/true);
   results.push_back(trace_off);
   results.push_back(trace_on);
   std::printf("\n%-10s %6zu %6zu %9zu %12.0f   (tracing off)\n",
@@ -880,14 +854,10 @@ int Main() {
     }
   }
 
-  const double headline = item_64 > 0 ? batch_64 / item_64 : 0;
   const double loop_scaling =
       (ladder_1 > 0 && ladder_loops.size() > 1) ? ladder_n / ladder_1 : 0;
-  WriteJson(results, ladder, surge, headline, loop_scaling, uring_skip);
+  WriteJson(results, ladder, surge, loop_scaling, uring_skip);
   std::printf("wrote BENCH_net_throughput.json\n");
-  if (headline > 0) {
-    std::printf(">= 64 conns: net_batch/net_item = %.2fx\n", headline);
-  }
   if (loop_scaling > 0) {
     std::printf("256 conns: loops %zu -> %zu scaling = %.2fx\n",
                 ladder_loops.front(), ladder_loops.back(), loop_scaling);

@@ -48,9 +48,6 @@ void PrintHelp() {
       "                      instead of the in-process surge demo\n"
       "  --serve-seconds=N   with --listen: stop after N s (0 = until "
       "SIGINT)\n"
-      "  --batch-submit=0|1  with --listen: drain each epoll wakeup "
-      "through\n"
-      "                      one SubmitBatch admission pass (default 1)\n"
       "  --loops=N           with --listen: event loops / SO_REUSEPORT\n"
       "                      listeners (default 0 = min(cores, 4))\n"
       "  --backend=KIND      with --listen: event-loop backend — auto,\n"
@@ -80,11 +77,7 @@ void PrintHelp() {
       "  --tenant-flood-guard=N  queue depth at which a tenant is capped "
       "at\n"
       "                      its weighted queue share (default 32 when\n"
-      "                      --tenant-fair; 0 = off)\n"
-      "  --single-queue=0|1  force one global run queue per stage instead "
-      "of\n"
-      "                      per-worker run queues with stealing (default "
-      "0)\n\n"
+      "                      --tenant-fair; 0 = off)\n\n"
       "  surge demo\n"
       "  --steady-qps=F      light-load rate (default 300)\n"
       "  --surge-qps=F       surge rate past capacity (default 1400)\n"
@@ -102,7 +95,6 @@ int main(int argc, char** argv) {
   const bool listen_mode = flags.Has("listen");
   const auto listen_port = static_cast<uint16_t>(flags.GetUint("listen", 0));
   const auto serve_seconds = flags.GetUint("serve-seconds", 0);
-  const bool batch_submit = flags.GetBool("batch-submit", true);
   const auto num_loops = flags.GetUint("loops", 0);
   const net::NetBackend backend =
       flags.GetBackend("backend", net::NetBackend::kAuto);
@@ -121,7 +113,6 @@ int main(int argc, char** argv) {
   options.broker_workers = flags.GetUint("broker-workers", 4);
   options.num_shards = flags.GetUint("shards", 2);
   options.shard_workers = flags.GetUint("shard-workers", 1);
-  options.force_single_queue = flags.GetBool("single-queue", false);
   options.broker_policy.kind = PolicyKind::kBouncerWithAllowance;
   options.broker_policy.bouncer.histogram_swap_interval = 2 * kSecond;
   options.broker_policy.bouncer.min_samples_to_publish = 5;
@@ -191,7 +182,6 @@ int main(int argc, char** argv) {
   if (listen_mode) {
     net::NetServer::Options server_options;
     server_options.port = listen_port;
-    server_options.batch_submit = batch_submit;
     server_options.num_loops = num_loops;
     server_options.backend = backend;
     server_options.metrics = &metric_registry;
@@ -204,11 +194,9 @@ int main(int argc, char** argv) {
     }
     std::signal(SIGINT, OnSignal);
     std::signal(SIGTERM, OnSignal);
-    std::printf("listening on %s:%u (%s backend, %s admission, %zu "
-                "loop%s%s)\n",
+    std::printf("listening on %s:%u (%s backend, %zu loop%s%s)\n",
                 server_options.bind_address.c_str(), server.port(),
-                net::NetBackendName(server.backend()),
-                batch_submit ? "batched" : "per-query", server.num_loops(),
+                net::NetBackendName(server.backend()), server.num_loops(),
                 server.num_loops() == 1 ? "" : "s",
                 server.handoff_mode() ? ", fd-handoff fallback" : "");
     if (!server.backend_fallback_reason().empty()) {

@@ -186,7 +186,6 @@ Nanos BouncerPolicy::EstimateQueueWaitSlow(QueryTypeId type) const {
 
 Nanos BouncerPolicy::EstimateQueueWait(QueryTypeId type) const {
   if (type >= type_histograms_.size()) type = kDefaultQueryType;
-  if (!options_.incremental_estimate) return EstimateQueueWaitSlow(type);
   // Out-of-band queue mutation (tests and tools drive QueueState without
   // the policy hooks) shows up as a count mismatch: answer exactly via
   // the rescan until a rebuild re-syncs the aggregates.
@@ -206,13 +205,7 @@ Nanos BouncerPolicy::EstimateQueueWait(QueryTypeId type) const {
   }
   // Racing hooks can transiently drive the aggregate a hair negative.
   if (weighted_sum < 0) weighted_sum = 0;
-  const Nanos fast = weighted_sum / static_cast<int64_t>(parallelism_);
-  if (options_.check_estimates) {
-    const Nanos slow = EstimateQueueWaitSlow(type);
-    assert(fast == slow && "incremental Eq. 2 aggregate diverged");
-    (void)slow;
-  }
-  return fast;
+  return weighted_sum / static_cast<int64_t>(parallelism_);
 }
 
 BouncerPolicy::Estimates BouncerPolicy::EstimateFor(QueryTypeId type,

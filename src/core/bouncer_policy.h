@@ -68,16 +68,6 @@ class BouncerPolicy : public AdmissionPolicy {
     /// level). Missing entries default to priority 0. Leave empty for
     /// the paper's FIFO formulation.
     std::vector<int> type_priorities;
-    /// Use the O(1) incrementally-maintained Eq. 2 aggregate on the
-    /// decision path (default). When false, every estimate rescans all
-    /// per-type histograms — the pre-optimization behavior, kept
-    /// selectable so benchmarks can measure the difference.
-    bool incremental_estimate = true;
-    /// Debug aid: cross-check every fast-path estimate against the full
-    /// rescan and assert equality. Only meaningful in quiescent or
-    /// single-threaded use (under concurrency the two can legitimately
-    /// diverge transiently); intended for tests.
-    bool check_estimates = false;
   };
 
   /// The percentile response-time estimates behind one decision, exposed

@@ -1,8 +1,6 @@
 #include "src/graph/cluster.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 
 #include "src/util/epoch_visited.h"
 
@@ -20,14 +18,7 @@ struct Cluster::QueryContext {
 
 namespace {
 
-/// Shared layout the shard handler executes against; both scatter paths
-/// hang their synchronization state off a derived task type.
-struct ShardTaskBase {
-  Subquery subquery;
-  SubqueryResult result;
-};
-
-/// Countdown for one pooled/async broker->shards scatter. Lives in the
+/// Countdown for one broker->shards scatter round. Lives in the
 /// broker worker's scratch; the last shard completion is its last access
 /// (the wake-up goes through the cluster-owned ParkingLot, never through
 /// this struct), so the gathering worker may move on the instant
@@ -61,29 +52,17 @@ uint8_t ShardFailReason(const WorkItem& w, Outcome outcome) {
   }
 }
 
-/// One in-flight subquery batch of the pooled/async path; lives in the
-/// broker worker's scratch until the round's countdown reaches zero, so
-/// raw pointers into it stay valid.
-struct AsyncShardTask : ShardTaskBase {
+/// One in-flight subquery batch; lives in the broker worker's scratch
+/// until the round's countdown reaches zero, so raw pointers into it stay
+/// valid.
+struct ShardTask {
+  Subquery subquery;
+  SubqueryResult result;
   ScatterCountdown* countdown = nullptr;
 };
 
-/// Synchronization block of the legacy (pre-optimization) path.
-struct LegacyScatterState {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t pending = 0;
-  bool ok = true;
-  uint8_t fail_reason = 0;  ///< First failure's reason (under mu).
-};
-
-/// Legacy in-flight subquery; lives on the broker worker's stack.
-struct LegacyShardTask : ShardTaskBase {
-  LegacyScatterState* state = nullptr;
-};
-
 /// Per-broker-worker reusable buffers: the full multi-round execution of
-/// a query runs out of these, so the steady-state fast path performs no
+/// a query runs out of these, so the steady-state path performs no
 /// heap allocation (vectors are clear()ed, never freed; capacity is
 /// retained across rounds and queries). Broker workers are dedicated
 /// threads, so thread-local storage is per-worker by construction; no
@@ -98,7 +77,7 @@ struct WorkerScratch {
   TenantId tenant = kDefaultTenant;
   uint8_t fail_reason = 0;
   // Round-level state.
-  std::vector<AsyncShardTask> tasks;  ///< One slot per shard.
+  std::vector<ShardTask> tasks;  ///< One slot per shard.
   ScatterCountdown countdown;
   // Query-level operand buffers.
   std::vector<uint32_t> degrees;
@@ -138,14 +117,12 @@ Cluster::Cluster(const GraphStore* graph, const QueryTypeRegistry* registry,
 
   for (uint32_t s = 0; s < num_shards; ++s) {
     engines_.push_back(std::make_unique<ShardEngine>(
-        graph_, s, num_shards, options_.work_per_edge,
-        options_.update_log));
+        graph_, s, num_shards, options_.work_per_edge));
     ShardEngine* engine = engines_.back().get();
     Stage::Options stage_options;
     stage_options.name = "shard-" + std::to_string(s);
     stage_options.num_workers = options_.shard_workers;
     stage_options.queue_capacity = options_.shard_queue_capacity;
-    stage_options.force_single_queue = options_.force_single_queue;
     stage_options.metrics = options_.metrics;
     stage_options.recorder = options_.recorder;
     stage_options.tenants = options_.tenants;
@@ -156,7 +133,7 @@ Cluster::Cluster(const GraphStore* graph, const QueryTypeRegistry* registry,
           return CreatePolicy(policy, context);
         },
         [engine](WorkItem& item) {
-          auto* task = static_cast<ShardTaskBase*>(item.user);
+          auto* task = static_cast<ShardTask*>(item.user);
           engine->Execute(task->subquery, &task->result);
         }));
     if (!shards_.back()->init_status().ok()) {
@@ -169,7 +146,6 @@ Cluster::Cluster(const GraphStore* graph, const QueryTypeRegistry* registry,
     stage_options.name = "broker-" + std::to_string(b);
     stage_options.num_workers = options_.broker_workers;
     stage_options.queue_capacity = options_.broker_queue_capacity;
-    stage_options.force_single_queue = options_.force_single_queue;
     stage_options.metrics = options_.metrics;
     stage_options.recorder = options_.recorder;
     stage_options.tenants = options_.tenants;
@@ -229,24 +205,6 @@ Outcome Cluster::Submit(const GraphQuery& query, Nanos deadline,
                         CompletionFn done, uint64_t id, TenantId tenant) {
   const size_t broker_index =
       next_broker_.fetch_add(1, std::memory_order_relaxed) % brokers_.size();
-  if (options_.legacy_scatter) {
-    // Pre-optimization submit: a fresh shared context per query.
-    auto context = std::make_shared<QueryContext>();
-    context->query = query;
-    context->done = std::move(done);
-
-    WorkItem item;
-    item.type = TypeIdFor(query.op);
-    item.tenant = tenant;
-    item.id = id;
-    item.deadline = deadline;
-    item.user = context.get();
-    item.on_complete = [context](const WorkItem& w, Outcome outcome) {
-      if (context->done) context->done(w, outcome, context->result);
-    };
-    return brokers_[broker_index]->Submit(std::move(item));
-  }
-
   QueryContext* context = context_pool_.Acquire();
   context->query = query;
   context->result = GraphQueryResult{};
@@ -271,20 +229,6 @@ server::Stage::BatchResult Cluster::SubmitBatch(
     std::span<BatchRequest> requests, uint32_t submitter) {
   server::Stage::BatchResult total;
   if (requests.empty()) return total;
-  if (options_.legacy_scatter) {
-    // Baseline path: per-item submits (the batch API exists to beat this).
-    for (BatchRequest& request : requests) {
-      const Outcome outcome =
-          Submit(request.query, request.deadline, std::move(request.done),
-                 request.id, request.tenant);
-      switch (outcome) {
-        case Outcome::kCompleted: ++total.admitted; break;
-        case Outcome::kRejected: ++total.rejected; break;
-        default: ++total.shedded; break;
-      }
-    }
-    return total;
-  }
 
   // Build the WorkItems into per-broker scratch (reused across calls, so
   // steady state allocates nothing), then hand each broker its block in
@@ -339,25 +283,11 @@ bool Cluster::ScatterGather(std::span<const uint32_t> vertices,
                             QueryTypeId type, Nanos deadline,
                             std::vector<uint32_t>* degrees_out,
                             std::vector<uint32_t>* neighbors_out) {
-  if (options_.legacy_scatter) {
-    return ScatterGatherLegacy(vertices, kind, limit_per_vertex, type,
-                               deadline, degrees_out, neighbors_out);
-  }
-  return ScatterGatherAsync(vertices, kind, limit_per_vertex, type, deadline,
-                            degrees_out, neighbors_out);
-}
-
-bool Cluster::ScatterGatherAsync(std::span<const uint32_t> vertices,
-                                 Subquery::Kind kind,
-                                 uint32_t limit_per_vertex, QueryTypeId type,
-                                 Nanos deadline,
-                                 std::vector<uint32_t>* degrees_out,
-                                 std::vector<uint32_t>* neighbors_out) {
   WorkerScratch& scratch = tls_scratch;
   const size_t num_shards = shards_.size();
   if (scratch.tasks.size() < num_shards) scratch.tasks.resize(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    AsyncShardTask& task = scratch.tasks[s];
+    ShardTask& task = scratch.tasks[s];
     task.subquery.vertices.clear();
     task.result.degrees.clear();
     task.result.neighbors.clear();
@@ -384,7 +314,7 @@ bool Cluster::ScatterGatherAsync(std::span<const uint32_t> vertices,
   countdown.fail_reason.store(0, std::memory_order_relaxed);
 
   for (size_t s = 0; s < num_shards; ++s) {
-    AsyncShardTask& task = scratch.tasks[s];
+    ShardTask& task = scratch.tasks[s];
     if (task.subquery.vertices.empty()) continue;
     task.subquery.kind = kind;
     task.subquery.limit_per_vertex = limit_per_vertex;
@@ -396,7 +326,7 @@ bool Cluster::ScatterGatherAsync(std::span<const uint32_t> vertices,
     item.id = scratch.trace_id;
     item.traced = scratch.traced;
     item.deadline = deadline;
-    item.user = static_cast<ShardTaskBase*>(&task);
+    item.user = &task;
     if constexpr (stats::kTraceCompiledIn) {
       if (scratch.traced) {
         stats::TraceEvent event;
@@ -413,9 +343,7 @@ bool Cluster::ScatterGatherAsync(std::span<const uint32_t> vertices,
       }
     }
     item.on_complete = [this](const WorkItem& w, Outcome outcome) {
-      auto* t =
-          static_cast<AsyncShardTask*>(static_cast<ShardTaskBase*>(w.user));
-      ScatterCountdown* countdown = t->countdown;
+      ScatterCountdown* countdown = static_cast<ShardTask*>(w.user)->countdown;
       if (outcome != Outcome::kCompleted) {
         shard_failures_.fetch_add(1, std::memory_order_relaxed);
         countdown->failed.store(true, std::memory_order_relaxed);
@@ -513,81 +441,6 @@ bool Cluster::ScatterGatherAsync(std::span<const uint32_t> vertices,
   return ok;
 }
 
-bool Cluster::ScatterGatherLegacy(std::span<const uint32_t> vertices,
-                                  Subquery::Kind kind,
-                                  uint32_t limit_per_vertex, QueryTypeId type,
-                                  Nanos deadline,
-                                  std::vector<uint32_t>* degrees_out,
-                                  std::vector<uint32_t>* neighbors_out) {
-  const size_t num_shards = shards_.size();
-  const TenantId scratch_tenant = tls_scratch.tenant;
-  std::vector<LegacyShardTask> tasks(num_shards);
-  for (const uint32_t v : vertices) {
-    tasks[v % num_shards].subquery.vertices.push_back(v);
-  }
-
-  LegacyScatterState state;
-  size_t active = 0;
-  for (auto& task : tasks) {
-    if (!task.subquery.vertices.empty()) ++active;
-  }
-  if (active == 0) return true;
-  state.pending = active;
-
-  for (size_t s = 0; s < num_shards; ++s) {
-    LegacyShardTask& task = tasks[s];
-    if (task.subquery.vertices.empty()) continue;
-    task.subquery.kind = kind;
-    task.subquery.limit_per_vertex = limit_per_vertex;
-    task.state = &state;
-
-    WorkItem item;
-    item.type = type;
-    item.tenant = scratch_tenant;
-    item.deadline = deadline;
-    item.user = static_cast<ShardTaskBase*>(&task);
-    item.on_complete = [this](const WorkItem& w, Outcome outcome) {
-      auto* t =
-          static_cast<LegacyShardTask*>(static_cast<ShardTaskBase*>(w.user));
-      if (options_.shard_metrics != nullptr) {
-        options_.shard_metrics->Record(w, outcome);
-      }
-      std::lock_guard<std::mutex> lock(t->state->mu);
-      if (outcome != Outcome::kCompleted) {
-        t->state->ok = false;
-        if (t->state->fail_reason == 0) {
-          t->state->fail_reason = ShardFailReason(w, outcome);
-        }
-        shard_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
-      --t->state->pending;
-      t->state->cv.notify_all();
-    };
-    shards_[s]->Submit(std::move(item));
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(state.mu);
-    state.cv.wait(lock, [&state] { return state.pending == 0; });
-  }
-
-  for (LegacyShardTask& task : tasks) {
-    if (degrees_out != nullptr) {
-      degrees_out->insert(degrees_out->end(), task.result.degrees.begin(),
-                          task.result.degrees.end());
-    }
-    if (neighbors_out != nullptr) {
-      neighbors_out->insert(neighbors_out->end(),
-                            task.result.neighbors.begin(),
-                            task.result.neighbors.end());
-    }
-  }
-  if (!state.ok && tls_scratch.fail_reason == 0) {
-    tls_scratch.fail_reason = state.fail_reason;
-  }
-  return state.ok;
-}
-
 bool Cluster::FetchDegrees(std::span<const uint32_t> vertices,
                            QueryTypeId type, Nanos deadline,
                            std::vector<uint32_t>* degrees) {
@@ -604,24 +457,13 @@ bool Cluster::Expand(std::span<const uint32_t> vertices,
   const bool ok = ScatterGather(vertices, Subquery::Kind::kExpand,
                                 cap_per_vertex, type, deadline, nullptr,
                                 unique_neighbors);
-  if (options_.legacy_scatter) {
-    std::sort(unique_neighbors->begin(), unique_neighbors->end());
-    unique_neighbors->erase(
-        std::unique(unique_neighbors->begin(), unique_neighbors->end()),
-        unique_neighbors->end());
-    if (total_cap > 0 && unique_neighbors->size() > total_cap) {
-      unique_neighbors->resize(total_cap);
-    }
-    return ok;
-  }
-  // Epoch-stamped dedup (O(n), no sort): the result is the same SET the
-  // legacy sort+unique produces, in unspecified order. When the cap
-  // bites, nth_element keeps exactly the smallest total_cap ids — the
-  // set legacy's sorted resize keeps. Every fast-path consumer is
-  // order-independent (counts, degree sums, membership tests, next-hop
-  // vertex sets), so skipping the O(n log n) sort changes no observable
-  // query value; profiling showed the sort alone costing as much as a
-  // third of broker-side CPU on 2-hop/BFS rounds.
+  // Epoch-stamped dedup (O(n), no sort): the result is the unique set in
+  // unspecified order. When the cap bites, nth_element keeps exactly the
+  // smallest total_cap ids. Every consumer is order-independent (counts,
+  // degree sums, membership tests, next-hop vertex sets), so skipping an
+  // O(n log n) sort changes no observable query value; profiling showed
+  // a sort costing as much as a third of broker-side CPU on 2-hop/BFS
+  // rounds.
   EpochVisitedSet& dedup = tls_scratch.dedup;
   dedup.NextEpoch(graph_->num_vertices());
   size_t write = 0;
@@ -641,9 +483,6 @@ bool Cluster::Expand(std::span<const uint32_t> vertices,
 uint64_t Cluster::RunBfs(const GraphQuery& query, uint32_t max_depth,
                          size_t frontier_cap, QueryTypeId type,
                          Nanos deadline, bool* ok) {
-  if (options_.legacy_scatter) {
-    return RunBfsLegacy(query, max_depth, frontier_cap, type, deadline, ok);
-  }
   if (query.source == query.target) return 0;
   WorkerScratch& scratch = tls_scratch;
   scratch.bfs_visited.NextEpoch(graph_->num_vertices());
@@ -657,11 +496,10 @@ uint64_t Cluster::RunBfs(const GraphQuery& query, uint32_t max_depth,
       *ok = false;
       return 0;
     }
-    // `next` is the same unique set (smallest frontier_cap on overflow)
-    // the legacy sorted path produces, in unspecified order: membership
-    // is a linear scan, and the visited-filtered frontier below is a
-    // vertex set whose order the next round doesn't observe — exactly
-    // the legacy set_difference semantics without its scratch.
+    // `next` is a unique set (smallest frontier_cap on overflow) in
+    // unspecified order: membership is a linear scan, and the next
+    // frontier is `next` minus the visited set, whose order the next
+    // round doesn't observe.
     if (std::find(next.begin(), next.end(), query.target) != next.end()) {
       return depth;
     }
@@ -670,38 +508,6 @@ uint64_t Cluster::RunBfs(const GraphQuery& query, uint32_t max_depth,
       if (scratch.bfs_visited.Insert(u)) frontier.push_back(u);
     }
     if (frontier.empty()) return 0;  // Exhausted within the budget.
-    if (frontier.size() > frontier_cap) frontier.resize(frontier_cap);
-  }
-  return 0;  // Not reachable within max_depth.
-}
-
-uint64_t Cluster::RunBfsLegacy(const GraphQuery& query, uint32_t max_depth,
-                               size_t frontier_cap, QueryTypeId type,
-                               Nanos deadline, bool* ok) {
-  if (query.source == query.target) return 0;
-  std::vector<uint32_t> visited = {query.source};
-  std::vector<uint32_t> frontier = {query.source};
-  for (uint32_t depth = 1; depth <= max_depth; ++depth) {
-    std::vector<uint32_t> next;
-    if (!Expand(frontier, 64, frontier_cap, type, deadline, &next)) {
-      *ok = false;
-      return 0;
-    }
-    if (std::binary_search(next.begin(), next.end(), query.target)) {
-      return depth;
-    }
-    // next := next \ visited (both sorted).
-    std::vector<uint32_t> fresh;
-    fresh.reserve(next.size());
-    std::set_difference(next.begin(), next.end(), visited.begin(),
-                        visited.end(), std::back_inserter(fresh));
-    if (fresh.empty()) return 0;  // Exhausted within the budget.
-    std::vector<uint32_t> merged_visited;
-    merged_visited.reserve(visited.size() + fresh.size());
-    std::merge(visited.begin(), visited.end(), fresh.begin(), fresh.end(),
-               std::back_inserter(merged_visited));
-    visited = std::move(merged_visited);
-    frontier = std::move(fresh);
     if (frontier.size() > frontier_cap) frontier.resize(frontier_cap);
   }
   return 0;  // Not reachable within max_depth.
@@ -757,9 +563,8 @@ void Cluster::ExecuteQuery(WorkItem& item) {
       r.ok = Expand(va, 512, 512, type, deadline, &a);
       r.ok = Expand(vb, 512, 512, type, deadline, &b) && r.ok;
       // Order-independent intersection count (both lists are unique
-      // sets; fast-path Expand returns them unordered): mark one side in
-      // the epoch set, count the other side's hits. The legacy path
-      // materialized the sorted intersection only to take its size.
+      // sets; Expand returns them unordered): mark one side in the epoch
+      // set, count the other side's hits.
       EpochVisitedSet& membership = scratch.dedup;
       membership.NextEpoch(graph_->num_vertices());
       for (const uint32_t u : a) membership.Insert(u);
@@ -795,11 +600,9 @@ void Cluster::ExecuteQuery(WorkItem& item) {
       const uint32_t v[] = {q.source};
       r.ok = Expand(v, 64, 64, type, deadline, &hop1);
       if (hop1.size() > 32) {
-        // Sample the 32 smallest ids, matching the legacy sorted resize
-        // (fast-path Expand output is unordered, so select explicitly).
-        if (!options_.legacy_scatter) {
-          std::nth_element(hop1.begin(), hop1.begin() + 32, hop1.end());
-        }
+        // Sample the 32 smallest ids (Expand output is unordered, so
+        // select explicitly).
+        std::nth_element(hop1.begin(), hop1.begin() + 32, hop1.end());
         hop1.resize(32);
       }
       std::vector<uint32_t>& hop2 = scratch.hop2;

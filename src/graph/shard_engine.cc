@@ -22,11 +22,7 @@ void ShardEngine::Execute(const Subquery& subquery,
       result->degrees.reserve(result->degrees.size() +
                               subquery.vertices.size());
       for (const uint32_t v : subquery.vertices) {
-        uint32_t degree = 0;
-        if (Owns(v)) {
-          degree = graph_->Degree(v);
-          if (updates_ != nullptr) degree += updates_->ExtraDegree(v);
-        }
+        const uint32_t degree = Owns(v) ? graph_->Degree(v) : 0;
         result->degrees.push_back(degree);
         result->checksum ^= EdgeWork(v + degree);
       }
@@ -56,20 +52,6 @@ void ShardEngine::Execute(const Subquery& subquery,
         for (size_t i = 0; i < count; ++i) {
           result->neighbors.push_back(neighbors[i]);
           result->checksum ^= EdgeWork(neighbors[i]);
-        }
-        if (updates_ != nullptr && count == neighbors.size()) {
-          // Remaining headroom under the cap goes to delta edges.
-          const bool capped = subquery.limit_per_vertex > 0;
-          const uint32_t remaining =
-              capped ? subquery.limit_per_vertex - static_cast<uint32_t>(count)
-                     : 0;
-          if (!capped || remaining > 0) {
-            const size_t before = result->neighbors.size();
-            updates_->AppendNeighbors(v, remaining, &result->neighbors);
-            for (size_t i = before; i < result->neighbors.size(); ++i) {
-              result->checksum ^= EdgeWork(result->neighbors[i]);
-            }
-          }
         }
       }
       break;

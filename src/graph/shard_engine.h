@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/graph/graph_store.h"
-#include "src/graph/update_log.h"
 
 namespace bouncer::graph {
 
@@ -38,14 +37,9 @@ struct SubqueryResult {
 /// dependent. Thread-safe (the store is immutable).
 class ShardEngine {
  public:
-  /// `updates`, when non-null, layers a live edge-update feed over the
-  /// base snapshot (paper §5.1's continuous updates); degree and expand
-  /// subqueries then see base + delta edges.
   ShardEngine(const GraphStore* graph, uint32_t shard_id, uint32_t num_shards,
-              uint32_t work_per_edge,
-              const EdgeUpdateLog* updates = nullptr)
+              uint32_t work_per_edge)
       : graph_(graph),
-        updates_(updates),
         shard_id_(shard_id),
         num_shards_(num_shards == 0 ? 1 : num_shards),
         work_per_edge_(work_per_edge) {}
@@ -63,7 +57,6 @@ class ShardEngine {
   uint64_t EdgeWork(uint64_t seed) const;
 
   const GraphStore* graph_;
-  const EdgeUpdateLog* updates_;
   const uint32_t shard_id_;
   const uint32_t num_shards_;
   const uint32_t work_per_edge_;

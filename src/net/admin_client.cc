@@ -32,7 +32,7 @@ bool ReadExact(int fd, uint8_t* buf, size_t len) {
 bool WriteExact(int fd, const uint8_t* buf, size_t len) {
   size_t sent = 0;
   while (sent < len) {
-    const ssize_t n = ::write(fd, buf + sent, len - sent);
+    const ssize_t n = ::send(fd, buf + sent, len - sent, MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<size_t>(n);
       continue;

@@ -439,8 +439,11 @@ void NetClient::FlushConn(Conn* conn) {
   bool want_write = false;
   while (!conn->tx.empty()) {
     struct iovec iov[2];
-    const int segments = conn->tx.ReadableSegments(iov);
-    const ssize_t n = ::writev(conn->fd, iov, segments);
+    struct msghdr msg = {};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<size_t>(conn->tx.ReadableSegments(iov));
+    // MSG_NOSIGNAL: a server reset surfaces as EPIPE, not SIGPIPE.
+    const ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       conn->tx.Consume(static_cast<size_t>(n));
       continue;

@@ -5,10 +5,10 @@
 // only by that loop's thread.
 //
 // Submission model: SQEs accumulate across a whole loop iteration
-// (accept re-arms, recv arms/cancels, WRITEV flushes) and are flushed by
+// (accept re-arms, recv arms/cancels, SENDMSG flushes) and are flushed by
 // a single io_uring_enter in SubmitAndWait at the bottom — the wait and
 // the submit are the same syscall, which is where the per-request
-// syscall win over epoll_wait + readv + writev comes from.
+// syscall win over epoll_wait + readv + sendmsg comes from.
 //
 // user_data encoding: a 4-bit op tag in bits 63..60 and the connection
 // token in the low 60 bits. The token's generation field loses its top
@@ -170,11 +170,15 @@ void NetServer::UringFlushConn(Loop& loop, Connection* conn) {
   UringState& st = *loop.uring;
   io_uring_sqe* sqe = st.ring.GetSqe();
   if (sqe == nullptr) return;
-  // The iovecs must outlive the SQE, so they live on the connection; tx
-  // is append-only until the CQE consumes, so the segments stay valid.
-  const int segments = conn->tx.ReadableSegments(conn->send_iov);
-  PrepWritev(sqe, conn->fd, conn->send_iov, static_cast<unsigned>(segments),
-             Pack(kTagSend, conn->Token()));
+  // The msghdr and iovecs must outlive the SQE, so they live on the
+  // connection; tx is append-only until the CQE consumes, so the
+  // segments stay valid. MSG_NOSIGNAL: a send to a reset peer completes
+  // with -EPIPE instead of raising SIGPIPE.
+  conn->send_msg.msg_iov = conn->send_iov;
+  conn->send_msg.msg_iovlen =
+      static_cast<size_t>(conn->tx.ReadableSegments(conn->send_iov));
+  PrepSendmsg(sqe, conn->fd, &conn->send_msg, MSG_NOSIGNAL,
+              Pack(kTagSend, conn->Token()));
   conn->send_inflight = true;
   ++conn->uring_inflight;
 }

@@ -24,6 +24,7 @@
 
 #if BOUNCER_HAS_IOURING
 #include <linux/io_uring.h>
+#include <sys/socket.h>
 #include <sys/uio.h>
 #endif
 
@@ -38,7 +39,7 @@ struct UringSupport {
 };
 
 /// Probes once per process (cached): ring setup, the opcodes the backend
-/// needs (accept/recv/writev/poll/async-cancel), EXT_ARG timeouts,
+/// needs (accept/recv/sendmsg/poll/async-cancel), EXT_ARG timeouts,
 /// provided-buffer-ring registration, and — functionally, over a
 /// socketpair — multishot recv with buffer selection (kernel >= 6.0; it
 /// cannot be probed via IORING_REGISTER_PROBE because it is an opcode
@@ -190,8 +191,8 @@ class UringBufRing {
 void PrepAcceptMultishot(io_uring_sqe* sqe, int fd, uint64_t user_data);
 void PrepRecvMultishot(io_uring_sqe* sqe, int fd, uint16_t buf_group,
                        uint64_t user_data);
-void PrepWritev(io_uring_sqe* sqe, int fd, const struct iovec* iov,
-                unsigned nr_iov, uint64_t user_data);
+void PrepSendmsg(io_uring_sqe* sqe, int fd, const struct msghdr* msg,
+                 unsigned msg_flags, uint64_t user_data);
 void PrepPollMultishot(io_uring_sqe* sqe, int fd, uint32_t poll_mask,
                        uint64_t user_data);
 /// Cancels the submission whose user_data equals `target_user_data`.

@@ -17,11 +17,9 @@ namespace {
 
 using ::bouncer::testing::PolicyHarness;
 
-BouncerPolicy::Options CheckedOptions() {
+BouncerPolicy::Options TestOptions() {
   BouncerPolicy::Options options;
   options.histogram_swap_interval = kSecond;
-  // Every fast-path estimate asserts equality with the rescan.
-  options.check_estimates = true;
   return options;
 }
 
@@ -48,13 +46,13 @@ void HookDequeue(PolicyHarness& h, BouncerPolicy& policy, QueryTypeId type,
 TEST(BouncerEstimateCacheTest, IncrementalMatchesRescanWarmTypes) {
   PolicyHarness h(Slo{18 * kMillisecond, 50 * kMillisecond, 0},
                   /*parallelism=*/2);
-  BouncerPolicy policy(h.context, CheckedOptions());
+  BouncerPolicy policy(h.context, TestOptions());
   Train(policy, h.fast_id, 4 * kMillisecond);
   Train(policy, h.slow_id, 20 * kMillisecond);
   HookEnqueue(h, policy, h.fast_id);
   HookEnqueue(h, policy, h.slow_id);
   HookEnqueue(h, policy, h.slow_id);
-  // (1*4 + 2*20) / 2 = 22 ms; check_estimates asserts fast == rescan.
+  // (1*4 + 2*20) / 2 = 22 ms.
   EXPECT_EQ(policy.EstimateQueueWait(), 22 * kMillisecond);
   EXPECT_EQ(policy.EstimateQueueWait(), policy.EstimateQueueWaitSlow());
   HookDequeue(h, policy, h.slow_id);
@@ -65,7 +63,7 @@ TEST(BouncerEstimateCacheTest, IncrementalMatchesRescanWarmTypes) {
 TEST(BouncerEstimateCacheTest, ColdTypesCostedAtGeneralMean) {
   PolicyHarness h(Slo{18 * kMillisecond, 50 * kMillisecond, 0},
                   /*parallelism=*/1);
-  BouncerPolicy::Options options = CheckedOptions();
+  BouncerPolicy::Options options = TestOptions();
   options.warmup_min_samples = 10;
   BouncerPolicy policy(h.context, options);
   Train(policy, h.fast_id, 10 * kMillisecond, 100);
@@ -83,7 +81,7 @@ TEST(BouncerEstimateCacheTest, ColdTypesCostedAtGeneralMean) {
 TEST(BouncerEstimateCacheTest, PriorityLevelsMatchRescan) {
   PolicyHarness h(Slo{18 * kMillisecond, 50 * kMillisecond, 0},
                   /*parallelism=*/1);
-  BouncerPolicy::Options options = CheckedOptions();
+  BouncerPolicy::Options options = TestOptions();
   options.type_priorities = {0, 0, 5};  // default/fast at 0, slow at 5.
   BouncerPolicy policy(h.context, options);
   Train(policy, h.fast_id, 4 * kMillisecond);
@@ -104,7 +102,7 @@ TEST(BouncerEstimateCacheTest, PriorityLevelsMatchRescan) {
 TEST(BouncerEstimateCacheTest, SheddedQueryRollsBackContribution) {
   PolicyHarness h(Slo{18 * kMillisecond, 50 * kMillisecond, 0},
                   /*parallelism=*/1);
-  BouncerPolicy policy(h.context, CheckedOptions());
+  BouncerPolicy policy(h.context, TestOptions());
   Train(policy, h.fast_id, 10 * kMillisecond);
   HookEnqueue(h, policy, h.fast_id);
   HookEnqueue(h, policy, h.fast_id);
@@ -119,11 +117,9 @@ TEST(BouncerEstimateCacheTest, SheddedQueryRollsBackContribution) {
 TEST(BouncerEstimateCacheTest, OutOfBandQueueMutationFallsBackExactly) {
   PolicyHarness h(Slo{18 * kMillisecond, 50 * kMillisecond, 0},
                   /*parallelism=*/2);
-  // No check_estimates here: the whole point is that tracked and live
-  // occupancy disagree, which the fast path must detect.
-  BouncerPolicy::Options options;
-  options.histogram_swap_interval = kSecond;
-  BouncerPolicy policy(h.context, options);
+  // Tracked and live occupancy disagree here, which the fast path must
+  // detect.
+  BouncerPolicy policy(h.context, TestOptions());
   Train(policy, h.fast_id, 4 * kMillisecond);
   Train(policy, h.slow_id, 20 * kMillisecond);
   // Mutate the queue without telling the policy, as tests and external
@@ -137,19 +133,6 @@ TEST(BouncerEstimateCacheTest, OutOfBandQueueMutationFallsBackExactly) {
   // path takes over and must agree.
   policy.ForceHistogramSwap();
   EXPECT_EQ(policy.EstimateQueueWait(), 22 * kMillisecond);
-  EXPECT_EQ(policy.EstimateQueueWait(), policy.EstimateQueueWaitSlow());
-}
-
-TEST(BouncerEstimateCacheTest, RescanOnlyModeMatchesToo) {
-  PolicyHarness h(Slo{18 * kMillisecond, 50 * kMillisecond, 0},
-                  /*parallelism=*/2);
-  BouncerPolicy::Options options;
-  options.histogram_swap_interval = kSecond;
-  options.incremental_estimate = false;  // Pre-optimization behavior.
-  BouncerPolicy policy(h.context, options);
-  Train(policy, h.fast_id, 4 * kMillisecond);
-  h.queue->OnEnqueued(h.fast_id);
-  EXPECT_EQ(policy.EstimateQueueWait(), 2 * kMillisecond);
   EXPECT_EQ(policy.EstimateQueueWait(), policy.EstimateQueueWaitSlow());
 }
 

@@ -92,18 +92,5 @@ TEST(PolicyStateTableTest, ConcurrentFirstTouchPublishesOneChunk) {
   }
 }
 
-TEST(MapPolicyStateTableTest, BaselineMatchesFlatSemantics) {
-  MapPolicyStateTable<Counter> table(/*num_types=*/2);
-  EXPECT_EQ(table.Find(3, 1), nullptr);
-  table.At(3, 1).value.store(5);
-  ASSERT_NE(table.Find(3, 1), nullptr);
-  EXPECT_EQ(table.Find(3, 1)->value.load(), 5u);
-  EXPECT_EQ(table.At(3, 0).value.load(), 0u);
-  // References stay valid across rehash-inducing inserts.
-  Counter* early = &table.At(0, 0);
-  for (TenantId t = 0; t < 2'000; ++t) (void)table.At(t, 1);
-  EXPECT_EQ(early, &table.At(0, 0));
-}
-
 }  // namespace
 }  // namespace bouncer

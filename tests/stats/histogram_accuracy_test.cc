@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,11 @@ struct DistributionCase {
   // Draws one sample in nanoseconds.
   Nanos (*draw)(Rng&);
 };
+
+// Without this, gtest prints the case's raw bytes (a heap pointer and a
+// function address) into every test's listed name, so the names would
+// change from one run of the binary to the next.
+void PrintTo(const DistributionCase& c, std::ostream* os) { *os << c.name; }
 
 Nanos DrawExponential(Rng& rng) {
   return static_cast<Nanos>(rng.NextExponential(5e6));
